@@ -1,6 +1,6 @@
 //! Parser for the stream JSONL lines the session service emits: just the
-//! fields the benchmark reads back (`session`, `status`, `trace_fp`),
-//! found by key so field order does not matter.
+//! fields the benchmark reads back (`session`, `tasks`, `status`,
+//! `trace_fp`), found by key so field order does not matter.
 
 /// The fields of one emitted record line the benchmark checks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,17 +33,20 @@ fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     Some(&v[..v.find('"')?])
 }
 
-/// Session index of an emitted line: the cheap parse the latency
-/// measurement makes on every line.
-pub fn parse_session(line: &str) -> Option<usize> {
-    uint_field(line, "session")
+/// Session index and task count of an emitted line: the cheap parse the
+/// rate and latency measurement makes on every line.
+pub fn parse_session(line: &str) -> Option<(usize, u64)> {
+    Some((
+        uint_field(line, "session")?,
+        uint_field(line, "tasks")? as u64,
+    ))
 }
 
 /// The checked fields of an emitted line; `None` if any is missing or
 /// malformed.
 pub fn parse_record(line: &str) -> Option<EmittedRecord> {
     Some(EmittedRecord {
-        session: parse_session(line)?,
+        session: uint_field(line, "session")?,
         status: str_field(line, "status")?.to_string(),
         trace_fp: u64::from_str_radix(str_field(line, "trace_fp")?, 16).ok()?,
     })
@@ -59,7 +62,7 @@ mod tests {
 
     #[test]
     fn parses_the_checked_fields() {
-        assert_eq!(parse_session(LINE), Some(17));
+        assert_eq!(parse_session(LINE), Some((17, 12)));
         assert_eq!(
             parse_record(LINE),
             Some(EmittedRecord {
@@ -84,7 +87,8 @@ mod tests {
     #[test]
     fn malformed_lines_are_rejected() {
         assert_eq!(parse_session("{\"tenant\":3}"), None);
-        assert_eq!(parse_session("{\"session\":\"x\"}"), None);
+        assert_eq!(parse_session("{\"session\":\"x\",\"tasks\":1}"), None);
+        assert_eq!(parse_session("{\"session\":1}"), None);
         assert_eq!(parse_record("{\"session\":1,\"status\":\"ok\"}"), None);
         assert_eq!(
             parse_record("{\"session\":1,\"status\":\"ok\",\"trace_fp\":\"zz\"}"),

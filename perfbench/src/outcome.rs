@@ -98,44 +98,55 @@ impl Outcome {
     }
 
     /// Fills the end-to-end metrics from a run's passes and every set-up
-    /// timed in the run. Each metric is a median: over the set-ups, or
-    /// over the passes of a per-pass figure (a rate, or a latency
-    /// percentile over the pass's records), so one pass that stalls does
-    /// not move it. The detail lines give quartiles and sample counts.
+    /// timed in the run. `setup_s` is the median set-up. The rates and
+    /// the record latency are taken over the run's windows (stretches of
+    /// consecutive output, see [`Window`]): the upper quartile of the
+    /// window rates and the lower quartile of the window latency medians.
+    /// A shared host only ever slows a window, often for seconds at a
+    /// time, so these quartiles read the program's speed in the least
+    /// disturbed part of the run, while a change that slows every window
+    /// moves them in full. The detail lines give the median, quartiles
+    /// and sample counts.
     pub fn summarize(&mut self, setups: &[Duration], passes: &[Pass]) {
-        let over = |f: &dyn Fn(&Pass) -> f64| passes.iter().map(f).collect::<Vec<f64>>();
         let tails: Vec<Tail> = passes
             .iter()
             .map(|p| tail(&p.latencies_ms).expect("a pass records at least one latency"))
             .collect();
-        let walls = over(&|p| p.wall.as_secs_f64());
+        let walls: Vec<f64> = passes.iter().map(|p| p.wall.as_secs_f64()).collect();
         self.note_spread(
             "pass_wall_s",
             median(&walls).expect("a run makes a pass"),
             &walls,
         );
-        let series: [(&'static str, Vec<f64>); 4] = [
-            (
-                "setup_s",
-                setups.iter().map(Duration::as_secs_f64).collect(),
-            ),
-            (
-                "tasks_per_s",
-                over(&|p| p.tasks as f64 / p.wall.as_secs_f64()),
-            ),
+        let setup_s: Vec<f64> = setups.iter().map(Duration::as_secs_f64).collect();
+        let m = median(&setup_s).expect("a run times at least one set-up");
+        self.set("setup_s", m);
+        self.note_spread("setup_s", m, &setup_s);
+        let windows: Vec<&Window> = passes.iter().flat_map(|p| &p.windows).collect();
+        let over = |f: &dyn Fn(&Window) -> f64| windows.iter().map(|w| f(w)).collect::<Vec<f64>>();
+        let series: [(&'static str, bool, Vec<f64>); 3] = [
+            ("tasks_per_s", true, over(&|w| w.tasks as f64 / w.secs)),
             (
                 "sessions_per_s",
-                over(&|p| p.sessions as f64 / p.wall.as_secs_f64()),
+                true,
+                over(&|w| w.sessions as f64 / w.secs),
             ),
-            (
-                "record_latency_p50_ms",
-                over(&|p| median(&p.latencies_ms).expect("a pass records at least one latency")),
-            ),
+            ("record_latency_p50_ms", false, over(&|w| w.latency_p50_ms)),
         ];
-        for (name, values) in series {
-            let m = median(&values).expect("a run times at least one set-up and pass");
-            self.set(name, m);
-            self.note_spread(name, m, &values);
+        for (name, higher_is_better, values) in series {
+            let m = median(&values).expect("a run makes a window");
+            let v = match quartiles(&values) {
+                Some((_, q3)) if higher_is_better => q3,
+                Some((q1, _)) => q1,
+                None => m,
+            };
+            self.set(name, v);
+            let best = if higher_is_better { "q3" } else { "q1" };
+            self.note_spread(
+                &format!("{name} over windows (reported: {best})"),
+                m,
+                &values,
+            );
         }
         // The tail is printed but not gated: on a shared host it swings
         // with every stall (see `workload.record_latency_tail_ms`).
@@ -184,12 +195,24 @@ impl Outcome {
 pub struct Pass {
     /// Wall time of the pass.
     pub wall: Duration,
-    /// Tasks completed.
-    pub tasks: u64,
-    /// Session records produced.
-    pub sessions: u64,
     /// Latency of each record, ms.
     pub latencies_ms: Vec<f64>,
+    /// The pass cut into consecutive stretches of output.
+    pub windows: Vec<Window>,
+}
+
+/// A stretch of consecutive output within a pass: from the previous
+/// window's last output (or the pass start) to its own last output.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Window {
+    /// Wall time of the stretch, seconds.
+    pub secs: f64,
+    /// Tasks of the records output in it.
+    pub tasks: u64,
+    /// Records output in it.
+    pub sessions: u64,
+    /// Median latency of those records, ms.
+    pub latency_p50_ms: f64,
 }
 
 /// A run's time budget.

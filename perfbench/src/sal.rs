@@ -15,10 +15,12 @@ use std::sync::{Arc, Mutex};
 pub const SIMS: usize = 4;
 /// Loop iterations.
 pub const ITERATIONS: usize = 2;
-/// MD steps per simulation.
-const STEPS: u64 = 100;
+/// MD steps per simulation: short, so that a pass (one rate window)
+/// takes about half a second on two cores and a 30 s run holds about
+/// fifty of them.
+const STEPS: u64 = 20;
 /// Frame interval of each simulation's trajectory.
-const RECORD_EVERY: u64 = 25;
+const RECORD_EVERY: u64 = 5;
 
 /// One pass's pattern, plus a digest of the pass's outputs that must
 /// repeat exactly across passes of the same seed.

@@ -6,7 +6,7 @@
 
 use crate::jsonl::{parse_record, parse_session, EmittedRecord};
 use crate::ledger::{self, Ledger};
-use crate::outcome::{Budget, Outcome, Pass};
+use crate::outcome::{Budget, Outcome, Pass, Window};
 use crate::procfs::ProcSample;
 use crate::stats::{median, tail};
 use entk_core::error::EntkError;
@@ -32,6 +32,10 @@ const MAX_CROSS_CHECK_ERR_SECS: f64 = 1e-6;
 
 /// Arrival read-ahead window of the engine (its default).
 const LOOKAHEAD: usize = 256;
+
+/// Consecutive records per rate window: 0.05–0.2 s of output on two
+/// cores, so a 30 s run holds a few hundred windows.
+const WINDOW_RECORDS: usize = 500;
 
 /// Which stream and service configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,6 +100,14 @@ impl ArrivalStream for TimedSource {
     }
 }
 
+/// One record line reaching the sink.
+#[derive(Debug, Clone, Copy)]
+struct Emission {
+    session: usize,
+    tasks: u64,
+    at: Instant,
+}
+
 /// A null sink that stamps each record line's arrival and counts bytes
 /// and lines; traced, it also keeps each line's checked fields and its
 /// own time inside `write`.
@@ -103,7 +115,7 @@ impl ArrivalStream for TimedSource {
 struct CountingSink {
     traced: bool,
     pending: Vec<u8>,
-    emitted: Vec<(usize, Instant)>,
+    emitted: Vec<Emission>,
     records: Vec<EmittedRecord>,
     bytes: u64,
     lines: u64,
@@ -116,7 +128,11 @@ impl CountingSink {
         self.lines += 1;
         let text = std::str::from_utf8(line).unwrap_or("");
         match parse_session(text) {
-            Some(session) => self.emitted.push((session, now)),
+            Some((session, tasks)) => self.emitted.push(Emission {
+                session,
+                tasks,
+                at: now,
+            }),
             None => self.bad_lines += 1,
         }
         if self.traced {
@@ -155,6 +171,8 @@ impl Write for CountingSink {
 /// One serve of the whole stream.
 struct ServePass {
     setup: Duration,
+    /// Set-up end: the pass's start.
+    start: Instant,
     wall: Duration,
     stats: ServeStats,
     pulls: PullLog,
@@ -163,14 +181,53 @@ struct ServePass {
 }
 
 impl ServePass {
-    /// Pull-to-sink latency of every record, ms.
+    /// Pull-to-sink latency of every record, in emission order, ms.
     fn latencies_ms(&self) -> Vec<f64> {
         self.sink
             .emitted
             .iter()
-            .filter_map(|&(s, at)| Some((at - *self.pulls.at.get(s)?).as_secs_f64() * 1e3))
+            .filter_map(|e| Some((e.at - *self.pulls.at.get(e.session)?).as_secs_f64() * 1e3))
             .collect()
     }
+
+    /// The pass for the end-to-end summary.
+    fn pass(&self) -> Pass {
+        let latencies_ms = self.latencies_ms();
+        let windows = windows(
+            self.start,
+            &self.sink.emitted,
+            &latencies_ms,
+            WINDOW_RECORDS,
+        );
+        Pass {
+            wall: self.wall,
+            latencies_ms,
+            windows,
+        }
+    }
+}
+
+/// Cuts a pass's emissions into windows of `size` consecutive records
+/// (the last one may be shorter), timed from the previous window's last
+/// emission, or from `start` for the first. `latencies_ms` holds each
+/// emission's latency, in the same order.
+fn windows(start: Instant, emitted: &[Emission], latencies_ms: &[f64], size: usize) -> Vec<Window> {
+    let mut from = start;
+    emitted
+        .chunks(size)
+        .zip(latencies_ms.chunks(size))
+        .map(|(records, latencies)| {
+            let to = records.last().expect("chunks are never empty").at;
+            let secs = (to - from).as_secs_f64();
+            from = to;
+            Window {
+                secs,
+                tasks: records.iter().map(|e| e.tasks).sum(),
+                sessions: records.len() as u64,
+                latency_p50_ms: median(latencies).expect("chunks are never empty"),
+            }
+        })
+        .collect()
 }
 
 /// A replayed session's outputs.
@@ -260,11 +317,12 @@ impl Serve {
         let wall = sink
             .emitted
             .last()
-            .map_or_else(|| t1.elapsed(), |&(_, at)| at - t1);
+            .map_or_else(|| t1.elapsed(), |e| e.at - t1);
         let proc = ProcSample::now().since(&before);
         let pulls = std::mem::take(&mut *log.lock().expect("pull log lock"));
         Ok(ServePass {
             setup: t1 - t0,
+            start: t1,
             wall,
             stats,
             pulls,
@@ -284,7 +342,7 @@ impl Serve {
             && p.sink
                 .emitted
                 .iter()
-                .all(|&(i, _)| i < n && !std::mem::replace(&mut seen[i], true));
+                .all(|e| e.session < n && !std::mem::replace(&mut seen[e.session], true));
         let checks = [
             out.check(s.sessions == n && p.pulls.at.len() == n, || {
                 format!(
@@ -300,6 +358,15 @@ impl Serve {
                     p.sink.bad_lines
                 )
             }),
+            out.check(
+                p.sink.emitted.iter().map(|e| e.tasks).sum::<u64>() == s.total_tasks as u64,
+                || {
+                    format!(
+                        "record lines count other tasks than the {} served",
+                        s.total_tasks
+                    )
+                },
+            ),
             out.check(s.failed_sessions == 0 && s.partial_sessions == 0, || {
                 format!(
                     "{} failed and {} partial sessions",
@@ -514,12 +581,7 @@ impl Serve {
                 return Ok(());
             }
             setups.push(p.setup);
-            passes.push(Pass {
-                wall: p.wall,
-                tasks: p.stats.total_tasks as u64,
-                sessions: p.stats.sessions as u64,
-                latencies_ms: p.latencies_ms(),
-            });
+            passes.push(p.pass());
             first.get_or_insert(p.stats);
             let walls: Vec<f64> = passes.iter().map(|p| p.wall.as_secs_f64()).collect();
             if !budget.fits(median(&walls).unwrap_or(0.0) * 1.1) {
@@ -580,5 +642,34 @@ impl Serve {
             eval_ms / 1e3
         ));
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn windows_cut_consecutive_records_and_time_from_the_last_emission() {
+        let start = Instant::now();
+        let at_ms = [100u64, 300, 400, 1000, 1500];
+        let emitted: Vec<Emission> = at_ms
+            .iter()
+            .enumerate()
+            .map(|(i, &ms)| Emission {
+                session: i,
+                tasks: i as u64 + 1,
+                at: start + Duration::from_millis(ms),
+            })
+            .collect();
+        let latencies = [5.0, 1.0, 3.0, 8.0, 2.0];
+        let w = windows(start, &emitted, &latencies, 2);
+        assert_eq!(w.len(), 3);
+        let got: Vec<(f64, u64, u64, f64)> = w
+            .iter()
+            .map(|w| (w.secs, w.tasks, w.sessions, w.latency_p50_ms))
+            .collect();
+        assert_eq!(got, [(0.3, 3, 2, 3.0), (0.7, 7, 2, 5.5), (0.5, 5, 1, 2.0)]);
+        assert!(windows(start, &[], &[], 2).is_empty());
     }
 }

@@ -3,7 +3,7 @@
 //! `allocate`, `run`, `deallocate`.
 
 use crate::ledger::{self, Ledger};
-use crate::outcome::{Budget, Outcome, Pass};
+use crate::outcome::{Budget, Outcome, Pass, Window};
 use crate::procfs::ProcSample;
 use crate::sal::{Plan, Sal};
 use crate::stats::{median, tail};
@@ -135,11 +135,16 @@ pub fn run(w: &Sal, budget: Budget, traced: bool) -> Outcome {
             break;
         }
         setups.push(p.setup);
+        let wall_ms = p.wall.as_secs_f64() * 1e3;
         passes.push(Pass {
             wall: p.wall,
-            tasks: p.run.task_count() as u64,
-            sessions: 1,
-            latencies_ms: vec![p.wall.as_secs_f64() * 1e3],
+            latencies_ms: vec![wall_ms],
+            windows: vec![Window {
+                secs: p.wall.as_secs_f64(),
+                tasks: p.run.task_count() as u64,
+                sessions: 1,
+                latency_p50_ms: wall_ms,
+            }],
         });
         if is_traced {
             traced_walls.push(p.wall.as_secs_f64());

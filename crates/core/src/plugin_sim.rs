@@ -23,7 +23,9 @@
 //! member-locally, the windows can run concurrently on a worker pool
 //! ([`DriveMode::Parallel`]) or inline ([`DriveMode::Serial`]) with
 //! byte-identical traces — that identity is what the parallel-vs-serial
-//! proptests and the CI smoke job pin.
+//! proptests and the CI smoke job pin. A `Parallel` backend built on a
+//! thread that is already a pool worker ([`entk_sim::on_worker`]) runs its
+//! windows inline too: nested parallel regions never spawn a pool.
 //!
 //! Outside the session's run phase (boot, teardown) the lookahead collapses
 //! to 1 µs, which makes each window cover exactly one timestamp: the merge
@@ -47,8 +49,8 @@ use entk_pilot::{
     SimRuntimeConfig, UnitDescription, UnitId, UnitState, UnitWork,
 };
 use entk_sim::{
-    Context, Engine, SharedTelemetry, SimDuration, SimRng, SimTime, Subject, SubjectOffsets,
-    TelemetryBuffer, WorkerPool,
+    on_worker, Context, Engine, SharedTelemetry, SimDuration, SimRng, SimTime, Subject,
+    SubjectOffsets, TelemetryBuffer, WorkerPool,
 };
 use std::collections::{HashSet, VecDeque};
 use std::ops::Range;
@@ -212,8 +214,9 @@ struct FedState {
     spine: Engine<Ev>,
     /// Completed member chunks awaiting dole, sorted by `(time, member)`.
     pending: VecDeque<Chunk>,
-    /// Worker pool driving member windows; `None` in serial drive mode
-    /// (windows then run inline, producing byte-identical chunks).
+    /// Worker pool driving member windows; `None` in serial drive mode and
+    /// when the backend was built on a pool worker (windows then run
+    /// inline, producing byte-identical chunks).
     pool: Option<WorkerPool>,
     /// Window width beyond the earliest member event during the run phase.
     lookahead: SimDuration,
@@ -506,7 +509,9 @@ impl EventBackend {
         let fed = multi.then(|| FedState {
             spine: Engine::new(),
             pending: VecDeque::new(),
-            pool: (drive.mode == DriveMode::Parallel)
+            // Already on a pool worker (a served session): the enclosing
+            // pool owns the cores, so member windows run inline.
+            pool: (drive.mode == DriveMode::Parallel && !on_worker())
                 .then(|| WorkerPool::new(drive.workers.clamp(1, clusters.len()))),
             lookahead: drive.lookahead,
             windows_on: false,
@@ -1153,5 +1158,60 @@ impl ExecutionBackend for EventBackend {
             events: self.clusters.iter().map(|c| c.engine.steps()).sum::<u64>()
                 + self.fed.as_ref().map(|f| f.spine.steps()).unwrap_or(0),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn two_member_parallel() -> EventBackend {
+        let inits = (0..2)
+            .map(|_| ClusterInit {
+                resource: "xsede.stampede".to_string(),
+                cores: 16,
+                walltime: SimDuration::from_secs(3_600),
+                platform: PlatformSpec::by_name("xsede.stampede").expect("known platform"),
+                runtime_config: SimRuntimeConfig::default(),
+                pilot_count: 1,
+                background_load: None,
+                fault_profile: None,
+            })
+            .collect();
+        let drive = FedDrive {
+            mode: DriveMode::Parallel,
+            lookahead: SimDuration::from_secs(1),
+            workers: 2,
+        };
+        EventBackend::federated(
+            inits,
+            KernelRegistry::with_builtins(),
+            false,
+            SharedTelemetry::disabled(),
+            drive,
+        )
+    }
+
+    fn has_member_pool(backend: &EventBackend) -> bool {
+        backend
+            .fed
+            .as_ref()
+            .expect("two members take the windowed drive")
+            .pool
+            .is_some()
+    }
+
+    /// A served session runs on an evaluation worker; its parallel drive
+    /// must not spawn a member pool there, so a serve holds O(workers)
+    /// threads rather than O(sessions).
+    #[test]
+    fn parallel_drive_spawns_a_member_pool_only_off_a_worker() {
+        assert!(has_member_pool(&two_member_parallel()));
+        let pool = WorkerPool::new(1);
+        let mut nested = None;
+        pool.run(vec![Box::new(|| {
+            nested = Some(has_member_pool(&two_member_parallel()));
+        }) as Box<dyn FnOnce() + Send + '_>]);
+        assert_eq!(nested, Some(false), "built on a worker: windows run inline");
     }
 }

@@ -149,7 +149,10 @@ pub enum DriveMode {
     /// Member windows run inline on the polling thread.
     Serial,
     /// Member windows run concurrently on a persistent worker pool (the
-    /// default).
+    /// default). A backend built on a thread that is already an
+    /// `entk-sim` pool worker — every session the workload service
+    /// evaluates — runs them inline instead, exactly as `Serial` does:
+    /// nested parallel regions never spawn a pool of their own.
     #[default]
     Parallel,
 }
@@ -219,7 +222,8 @@ pub struct FederatedConfig {
     /// Collect the cross-layer trace and metrics.
     pub telemetry: bool,
     /// How member clusters are driven between merge points (≥ 2 members
-    /// only). Serial and parallel drives produce byte-identical traces.
+    /// only). Serial and parallel drives produce byte-identical traces;
+    /// `Parallel` runs inline when the session is built on a pool worker.
     pub drive: DriveMode,
     /// Conservative lookahead in seconds beyond the earliest member event
     /// per window during the run phase. `None` derives it from the overhead
@@ -230,6 +234,8 @@ pub struct FederatedConfig {
     pub lookahead: Option<f64>,
     /// Worker threads driving member windows in parallel mode; `0` (the
     /// default) uses one per member, capped at the host's parallelism.
+    /// Unused when the session is built on a pool worker, where the
+    /// windows run inline.
     pub sim_threads: usize,
     /// The member clusters (at least one required).
     pub clusters: Vec<ClusterSpec>,

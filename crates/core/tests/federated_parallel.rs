@@ -202,3 +202,33 @@ fn tiny_lookahead_still_completes_and_matches() {
     let shape = Shape::Sal { sims: 3 };
     assert_drive_equivalence(config, shape);
 }
+
+#[test]
+fn parallel_drive_nested_in_a_pool_job_matches_serial() {
+    // A session evaluated on a worker-pool thread (the workload service's
+    // evaluation pool) runs its `Parallel` member windows inline; the
+    // report and trace must still equal the serial drive's.
+    let shape = Shape::Eop {
+        pipelines: 3,
+        stages: 2,
+    };
+    let serial = run_fingerprint(fed_config(3, 31, DriveMode::Serial), shape);
+    let pool = entk_sim::WorkerPool::new(1);
+    let mut nested = None;
+    pool.run(vec![Box::new(|| {
+        nested = Some(run_fingerprint(
+            fed_config(3, 31, DriveMode::Parallel),
+            shape,
+        ));
+    }) as Box<dyn FnOnce() + Send + '_>]);
+    let nested = nested.expect("the pool job ran");
+    assert!(serial.1.lines().count() > 10, "trace too small to compare");
+    assert_eq!(
+        serial.0, nested.0,
+        "nested parallel drive changed the report"
+    );
+    assert_eq!(
+        serial.1, nested.1,
+        "nested parallel drive changed the trace"
+    );
+}

@@ -25,7 +25,7 @@ pub use arena::{Arena, DenseStore, GenId};
 pub use engine::{Context, Engine, RunOutcome};
 pub use event::{EventId, EventQueue, ReferenceEventQueue};
 pub use metrics::Metrics;
-pub use pool::{Job, WorkerPool};
+pub use pool::{on_worker, Job, WorkerPool};
 pub use rng::{Dist, SimRng};
 pub use stats::{Histogram, Summary, TimeSeries};
 pub use time::{SimDuration, SimTime};

@@ -17,14 +17,34 @@
 //! running. [`WorkerPool::cancel_queued`] discards never-started jobs on
 //! early-abort paths.
 //!
+//! Nesting: every worker thread carries a mark, read by [`on_worker`]. A
+//! parallel region entered from inside a job (a federated session evaluated
+//! on the workload service's pool) runs inline instead of building a pool
+//! of its own, so a serve holds O(workers) threads, not O(sessions).
+//!
 //! Determinism note: the pool intentionally offers no ordering guarantees —
 //! jobs run on whichever worker grabs them first. Callers must therefore
 //! keep all ordered state member-private during a window and merge it on
 //! the spine afterwards (see `entk-core`'s conservative-lookahead merge).
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
+
+thread_local! {
+    /// Set once when a thread enters [`worker_loop`]; never cleared (the
+    /// thread exits with the loop).
+    static ON_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is a [`WorkerPool`] worker. Nested parallel
+/// regions check this and run inline instead of spawning a pool of their
+/// own: the enclosing pool already occupies the host's cores, so a nested
+/// pool per job would only add threads, context switches and join latency.
+pub fn on_worker() -> bool {
+    ON_WORKER.with(Cell::get)
+}
 
 /// An owned job for the asynchronous [`WorkerPool::submit`] path.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -194,6 +214,7 @@ impl Drop for WorkerPool {
 }
 
 fn worker_loop(shared: &Shared) {
+    ON_WORKER.with(|w| w.set(true));
     loop {
         let job = {
             let mut state = shared.state.lock().expect("pool state lock");
@@ -324,6 +345,22 @@ mod tests {
         // The barrier of an empty run() waits for the in-flight job only.
         pool.run(vec![Box::new(|| {}) as Box<dyn FnOnce() + Send + '_>]);
         assert_eq!(ran.load(Ordering::Relaxed), 0, "cancelled jobs never ran");
+    }
+
+    #[test]
+    fn on_worker_marks_pool_threads_only() {
+        assert!(!on_worker(), "the test thread is not a pool worker");
+        let pool = WorkerPool::new(2);
+        let seen = Mutex::new(Vec::new());
+        pool.run(vec![
+            Box::new(|| seen.lock().unwrap().push(on_worker())) as Box<dyn FnOnce() + Send + '_>,
+            Box::new(|| seen.lock().unwrap().push(on_worker())) as Box<dyn FnOnce() + Send + '_>,
+        ]);
+        assert_eq!(*seen.lock().unwrap(), vec![true, true]);
+        let (tx, rx) = std::sync::mpsc::channel();
+        pool.submit(vec![Box::new(move || tx.send(on_worker()).unwrap()) as Job]);
+        assert!(rx.recv().unwrap(), "submitted jobs run on a worker too");
+        assert!(!on_worker(), "running jobs never marks the caller");
     }
 
     #[test]

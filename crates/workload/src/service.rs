@@ -51,6 +51,9 @@
 //! `status: failed | partial` on its [`SessionRecord`] and the stream
 //! continues. `strict: true` restores the original behavior (first
 //! failure or degradation aborts the stream with the underlying error).
+//! A panic while evaluating a session counts as that session failing: the
+//! record carries the panic message, and `strict` turns it into a typed
+//! [`EntkError::Runtime`].
 //!
 //! ## Backpressure
 //!
@@ -102,6 +105,7 @@ use entk_sim::{Metrics, SimDuration, SimTime, Summary, WorkerPool};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::panic::AssertUnwindSafe;
 use std::sync::{mpsc, Arc};
 
 /// How the service picks the next pending session for a free slot.
@@ -283,6 +287,25 @@ pub(crate) struct SessionService {
     pub(crate) error: Option<EntkError>,
 }
 
+impl SessionService {
+    fn failed(error: EntkError) -> Self {
+        SessionService {
+            status: SessionStatus::Failed,
+            ttc: SimDuration::ZERO,
+            tasks: 0,
+            events: 0,
+            trace_fp: 0,
+            cc_err: 0.0,
+            error: Some(error),
+        }
+    }
+}
+
+/// Fault hook for the unit tests: evaluating session `.1` of a stream
+/// seeded `.0` panics.
+#[cfg(test)]
+const PANIC_AT: (u64, usize) = (0xBAD_5EED, 3);
+
 /// Evaluates one session's service on its own virtual clock. Per-session
 /// problems — a backend error or a degraded (partial) report — are folded
 /// into the returned status, never propagated: the stream must survive
@@ -292,18 +315,13 @@ fn evaluate_session(
     index: usize,
     arrival: &SessionArrival,
 ) -> SessionService {
-    let failed = |e: EntkError| SessionService {
-        status: SessionStatus::Failed,
-        ttc: SimDuration::ZERO,
-        tasks: 0,
-        events: 0,
-        trace_fp: 0,
-        cc_err: 0.0,
-        error: Some(e),
-    };
+    #[cfg(test)]
+    if (config.seed, index) == PANIC_AT {
+        panic!("injected evaluation panic");
+    }
     let mut pattern = match arrival.build_pattern() {
         Ok(p) => p,
-        Err(e) => return failed(e),
+        Err(e) => return SessionService::failed(e),
     };
     let walltime = SimDuration::from_secs(10_000_000);
     let seed = session_seed(config.seed, index);
@@ -337,7 +355,7 @@ fn evaluate_session(
     };
     let (report, telemetry) = match run {
         Ok(out) => out,
-        Err(e) => return failed(e),
+        Err(e) => return SessionService::failed(e),
     };
     let cc = cross_check(&report, &telemetry.tracer);
     SessionService {
@@ -431,7 +449,21 @@ impl EvalPool {
         let tx = self.tx.clone();
         let config = Arc::clone(&self.config);
         self.pool.submit(vec![Box::new(move || {
-            let svc = evaluate_session(&config, index, &arrival);
+            // Every dispatched index must yield a result: a panic caught
+            // only by the worker would leave `take` waiting forever.
+            let svc = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                evaluate_session(&config, index, &arrival)
+            }))
+            .unwrap_or_else(|payload| {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("non-string panic payload");
+                SessionService::failed(EntkError::Runtime(format!(
+                    "session {index}: evaluation panicked: {message}"
+                )))
+            });
             // The receiver disappears only when the engine is dropped
             // mid-run; the result is simply discarded then.
             let _ = tx.send((index, svc));
@@ -1564,6 +1596,49 @@ impl ServiceEngine {
             report,
             jsonl,
             suffix_jsonl: std::mem::take(&mut self.suffix),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::arrival::{OpenLoopProcess, WorkloadGenerator};
+
+    fn panicking_serve(strict: bool) -> Result<WorkloadOutcome, EntkError> {
+        let stream = WorkloadConfig {
+            seed: PANIC_AT.0,
+            slots: 2,
+            ..WorkloadConfig::default()
+        };
+        let config = ServiceConfig {
+            strict,
+            ..ServiceConfig::fifo(stream)
+        };
+        let arrivals = OpenLoopProcess::poisson(5, 8, 3, 60.0).generate()?;
+        ServiceEngine::new(config, arrivals)?.run()
+    }
+
+    #[test]
+    fn eval_panic_fails_its_session_and_the_serve_returns() {
+        let out = panicking_serve(false).expect("a panicking session is not stream-fatal");
+        assert_eq!(out.jsonl.lines().count(), 8, "one record per arrival");
+        let r = &out.report;
+        assert_eq!((r.sessions, r.failed_sessions, r.ok_sessions), (8, 1, 7));
+        let failed = &r.records[PANIC_AT.1];
+        assert_eq!(failed.status, SessionStatus::Failed);
+        let error = failed
+            .error
+            .as_deref()
+            .expect("failed record carries its error");
+        assert!(error.contains("injected evaluation panic"), "{error}");
+    }
+
+    #[test]
+    fn eval_panic_under_strict_is_a_typed_error() {
+        match panicking_serve(true) {
+            Err(EntkError::Runtime(m)) => assert!(m.contains("injected evaluation panic"), "{m}"),
+            other => panic!("expected a runtime error, got {other:?}"),
         }
     }
 }

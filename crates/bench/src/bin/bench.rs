@@ -64,6 +64,9 @@
 //! fig10 rows also carry host wall-clock values, which legitimately differ
 //! between runs; their identity check compares the deterministic
 //! projection (`entk_bench::deterministic_view`) instead.
+//!
+//! A bad argument (unknown flag, missing value, non-numeric number) exits
+//! with status 1 and one `error:` line, like every failed check.
 
 use entk_bench::{
     deterministic_view, fairness_ablation_with, federated_resilience_with, fig11_with_policy,
@@ -82,6 +85,13 @@ use std::time::Instant;
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1);
+}
+
+/// Parses a flag's value, or leaves through [`fail`] naming the flag.
+fn parse_flag<T: std::str::FromStr>(flag: &str, value: String) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| fail(format!("{flag} needs a number, got {value:?}")))
 }
 
 struct Options {
@@ -143,13 +153,13 @@ fn parse_args() -> Options {
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
             args.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
+                .unwrap_or_else(|| fail(format!("{name} requires a value")))
         };
         match arg.as_str() {
             "--parallel" => opts.serial_only = false,
             "--serial" => opts.serial_only = true,
-            "--scale" => opts.scale = value("--scale").parse().expect("--scale: integer"),
-            "--seed" => opts.seed = value("--seed").parse().expect("--seed: integer"),
+            "--scale" => opts.scale = parse_flag("--scale", value("--scale")),
+            "--seed" => opts.seed = parse_flag("--seed", value("--seed")),
             "--threads" => std::env::set_var("ENTK_THREADS", value("--threads")),
             "--only" => {
                 opts.only = Some(
@@ -162,21 +172,19 @@ fn parse_args() -> Options {
             "--out" => opts.out = Some(value("--out")),
             "--trace" => opts.trace = Some(value("--trace")),
             "--scale-sweep" => opts.scale_sweep = true,
-            "--max-tasks" => {
-                opts.max_tasks = value("--max-tasks").parse().expect("--max-tasks: integer")
-            }
+            "--max-tasks" => opts.max_tasks = parse_flag("--max-tasks", value("--max-tasks")),
             "--members" => {
-                opts.members = value("--members").parse().expect("--members: integer");
+                opts.members = parse_flag("--members", value("--members"));
                 opts.scale_sweep = true;
-                assert!(opts.members >= 2, "--members needs at least 2 clusters");
+                if opts.members < 2 {
+                    fail("--members needs at least 2 clusters");
+                }
             }
             "--sim-threads" => {
-                opts.sim_threads = value("--sim-threads")
-                    .parse()
-                    .expect("--sim-threads: integer")
+                opts.sim_threads = parse_flag("--sim-threads", value("--sim-threads"))
             }
             "--budget-secs" => {
-                opts.budget_secs = Some(value("--budget-secs").parse().expect("--budget-secs: f64"))
+                opts.budget_secs = Some(parse_flag("--budget-secs", value("--budget-secs")))
             }
             "--baseline" => opts.baseline = Some(value("--baseline")),
             "--workload" => opts.workload = true,
@@ -187,27 +195,24 @@ fn parse_args() -> Options {
                     Ok(AdmissionPolicy::FairShare { .. }) => AdmissionPolicy::FairShare {
                         half_life_secs: FIG11_HALF_LIFE_SECS,
                     },
-                    Err(e) => panic!("{e}"),
+                    Err(e) => fail(e),
                 };
             }
-            "--sessions" => {
-                opts.sessions = value("--sessions").parse().expect("--sessions: integer")
-            }
-            "--tenants" => opts.tenants = value("--tenants").parse().expect("--tenants: integer"),
+            "--sessions" => opts.sessions = parse_flag("--sessions", value("--sessions")),
+            "--tenants" => opts.tenants = parse_flag("--tenants", value("--tenants")),
             "--serve-scale" => {
                 opts.serve_scale = true;
                 opts.workload = true;
             }
             "--max-sessions" => {
-                opts.max_sessions = value("--max-sessions")
-                    .parse()
-                    .expect("--max-sessions: integer");
-                assert!(
-                    opts.max_sessions >= 1000,
-                    "--max-sessions needs at least 1000"
-                );
+                opts.max_sessions = parse_flag("--max-sessions", value("--max-sessions"));
+                if opts.max_sessions < 1000 {
+                    fail("--max-sessions needs at least 1000");
+                }
             }
-            other => panic!("unknown argument {other:?} (see --help in the module docs)"),
+            other => fail(format!(
+                "unknown argument {other:?} (see --help in the module docs)"
+            )),
         }
     }
     opts

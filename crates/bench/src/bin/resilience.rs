@@ -10,6 +10,8 @@
 //!   --out PATH    output path                [default: RESILIENCE.json]
 //! ```
 //!
+//! A bad argument exits with status 1 and one `error:` line.
+//!
 //! Three checks must hold (the process asserts them, so CI fails loudly):
 //!
 //! 1. **Replay** — running the sweep twice with the same seed yields
@@ -29,11 +31,19 @@ use entk_bench::{
 };
 use serde_json::json;
 
-/// One-line diagnostic + non-zero exit for determinism-check failures, so
-/// CI logs end with the reason instead of a panic backtrace.
+/// One-line diagnostic + non-zero exit for argument errors and
+/// determinism-check failures, so CI logs end with the reason instead of
+/// a panic backtrace.
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(1);
+}
+
+/// Parses a flag's value, or leaves through [`fail`] naming the flag.
+fn parse_flag<T: std::str::FromStr>(flag: &str, value: String) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| fail(format!("{flag} needs a number, got {value:?}")))
 }
 
 struct Options {
@@ -54,21 +64,22 @@ fn parse_args() -> Options {
     while let Some(arg) = args.next() {
         let mut value = |name: &str| {
             args.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
+                .unwrap_or_else(|| fail(format!("{name} requires a value")))
         };
         match arg.as_str() {
-            "--scale" => opts.scale = value("--scale").parse().expect("--scale: integer"),
-            "--seed" => opts.seed = value("--seed").parse().expect("--seed: integer"),
+            "--scale" => opts.scale = parse_flag("--scale", value("--scale")),
+            "--seed" => opts.seed = parse_flag("--seed", value("--seed")),
             "--backend" => opts.backend = value("--backend"),
             "--out" => opts.out = value("--out"),
-            other => panic!("unknown argument {other:?} (see module docs)"),
+            other => fail(format!("unknown argument {other:?} (see module docs)")),
         }
     }
-    assert!(
-        matches!(opts.backend.as_str(), "simulated" | "federated"),
-        "unknown backend {:?} (use \"simulated\" or \"federated\")",
-        opts.backend
-    );
+    if !matches!(opts.backend.as_str(), "simulated" | "federated") {
+        fail(format!(
+            "unknown backend {:?} (use \"simulated\" or \"federated\")",
+            opts.backend
+        ));
+    }
     opts
 }
 

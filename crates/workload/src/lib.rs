@@ -17,9 +17,10 @@
 //! 3. [`SyntheticTrace`] — an in-repo deterministic mixture whose CSV
 //!    rendering means CI never needs external trace data.
 //!
-//! The session service ([`ServiceEngine`], FIFO default via [`serve`])
-//! admits the stream through a live event-driven loop with pluggable
-//! policies — FIFO or fair-share over a per-tenant [usage ledger]
+//! The session service ([`ServiceEngine`]; [`ServiceConfig::fifo`] is the
+//! default configuration) admits the stream through a live event-driven
+//! loop with pluggable policies — FIFO or fair-share over a per-tenant
+//! [usage ledger]
 //! (entk_cluster::UsageLedger) — bounded-queue backpressure (reject or
 //! defer), per-session failure records (`ok | partial | failed |
 //! rejected`, never stream-fatal unless `strict`), and arrival-boundary
@@ -45,7 +46,7 @@ pub use arrival::{
     VecStream, WorkloadGenerator, SUPPORTED_KERNELS,
 };
 pub use runner::{
-    fnv64, fnv64_update, serve, SessionRecord, SessionStatus, StreamBackend, TenantLatency,
+    fnv64, fnv64_update, SessionRecord, SessionStatus, StreamBackend, TenantLatency,
     WorkloadConfig, WorkloadOutcome, WorkloadReport, IN_SERVICE_GAUGE, QUEUE_DEPTH_GAUGE,
 };
 pub use service::{

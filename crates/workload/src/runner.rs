@@ -1,4 +1,5 @@
-//! Stream-level record/report types and the FIFO `serve()` entry point.
+//! Stream-level record and report types, the stream JSONL renderer, and
+//! the admission-timeline gauge replay.
 //!
 //! ## Model
 //!
@@ -6,20 +7,18 @@
 //! shared backend exposes `slots` concurrent admission slots (think: how
 //! many pilot sessions the resource provider lets one gateway run at
 //! once). Admission is performed by the event-driven
-//! [`crate::service::ServiceEngine`]; [`serve`] is the FIFO default —
-//! arrival `i` starts at `max(arrival_i, k-th earliest slot-free time)`
-//! and occupies its slot for its time-to-completion.
+//! [`crate::service::ServiceEngine`]; under FIFO admission, arrival `i`
+//! starts at `max(arrival_i, k-th earliest slot-free time)` and occupies
+//! its slot for its time-to-completion.
 //!
 //! Each admitted session runs through the existing
 //! `SessionEngine`/`ExecutionBackend` seam (`run_simulated_traced` /
 //! `run_federated_traced`) on its own virtual clock; its service time is
 //! the session report's TTC. Because every simulated session starts from
 //! its own t = 0, service times are independent of stream start times, so
-//! the per-session evaluations are embarrassingly parallel — the service
-//! fans them across cores in input order (same reassembly discipline as
-//! `entk-bench`'s `SweepRunner`) while the admission loop itself stays
-//! serial and deterministic. Same seed + same arrivals ⇒ byte-identical
-//! JSONL and report.
+//! the service evaluates them just in time on a persistent worker pool
+//! while the admission loop itself stays serial and deterministic. Same
+//! seed + same arrivals ⇒ byte-identical JSONL and report.
 //!
 //! ## Failure semantics
 //!
@@ -28,11 +27,9 @@
 //! stream-fatal semantics are available via
 //! [`crate::service::ServiceConfig`].
 
-use crate::arrival::IntoArrivalStream;
-use crate::service::{ServiceConfig, ServiceEngine};
-use entk_core::EntkError;
 use entk_sim::{Metrics, SimTime};
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 
 /// Gauge name of the arrived-but-not-started depth series.
 pub const QUEUE_DEPTH_GAUGE: &str = "workload.queue_depth";
@@ -265,28 +262,34 @@ pub fn fnv64_update(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c => vec![c],
-        })
-        .collect()
+/// Appends `s` as the body of a JSON string: quotes, backslashes and
+/// every control character below U+0020 are escaped.
+fn escape_json(out: &mut String, s: &str) {
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
+        }
+    }
 }
 
-/// Renders one session record as its stream JSONL line. Hand-rendered so
-/// the stream JSONL is byte-stable by construction.
-pub(crate) fn render_record(r: &SessionRecord) -> String {
-    let error = match &r.error {
-        Some(e) => format!(",\"error\":\"{}\"", escape_json(e)),
-        None => String::new(),
-    };
-    format!(
+/// Appends one session record's stream JSONL line (trailing newline
+/// included) to `out`. Hand-rendered so the stream JSONL is byte-stable
+/// by construction.
+pub(crate) fn render_record(out: &mut String, r: &SessionRecord) {
+    // Writing into a String cannot fail.
+    let _ = write!(
+        out,
         "{{\"session\":{},\"tenant\":{},\"pattern\":\"{}\",\"status\":\"{}\",\
          \"arrival\":{:.6},\"start\":{:.6},\"finish\":{:.6},\"latency\":{:.6},\
-         \"ttc\":{:.6},\"tasks\":{},\"events\":{},\"trace_fp\":\"{}\"{}}}\n",
+         \"ttc\":{:.6},\"tasks\":{},\"events\":{},\"trace_fp\":\"{}\"",
         r.session,
         r.tenant,
         r.pattern,
@@ -299,48 +302,48 @@ pub(crate) fn render_record(r: &SessionRecord) -> String {
         r.tasks,
         r.events,
         r.trace_fp,
-        error,
-    )
+    );
+    if let Some(e) = &r.error {
+        out.push_str(",\"error\":\"");
+        escape_json(out, e);
+        out.push('"');
+    }
+    out.push_str("}\n");
 }
 
-/// Serves a stream of arrivals on the configured backend with FIFO
-/// admission, an unbounded queue, and lenient failure semantics — the
-/// historical entry point, now a thin wrapper over
-/// [`crate::service::ServiceEngine`]. Accepts anything convertible to an
-/// [`crate::arrival::ArrivalStream`]: a slice, a `Vec`, a boxed stream,
-/// or a lazy generator. Deterministic: same config + same arrivals ⇒
-/// byte-identical [`WorkloadOutcome`].
-pub fn serve(
-    config: &WorkloadConfig,
-    arrivals: impl IntoArrivalStream,
-) -> Result<WorkloadOutcome, EntkError> {
-    ServiceEngine::new(ServiceConfig::fifo(config.clone()), arrivals)?.run()
-}
+/// One step of the admission timeline: (micros, kind, Δqueued, Δrunning).
+/// `kind` orders ties finish (0) → arrive (1) → start (2), so a slot freed
+/// at `t` is visible to a session starting at `t`.
+pub(crate) type GaugeEvent = (u64, u8, i64, i64);
 
-/// Replays the admission timeline as gauge samples: queue depth counts
+/// Appends one record's admission-timeline steps: queue depth counts
 /// sessions that arrived but have not started; in-service counts sessions
-/// between start and finish. Ties resolve finish → arrive → start so a
-/// slot freed at `t` is visible to a session starting at `t`. Built from
-/// the records' exact microsecond instants — never from the f64 display
-/// seconds, whose round-trip rounds large instants and can merge or
-/// reorder boundary ties (see `gauge_ties_survive_f64_collisions`).
-/// Rejected sessions never enter either series; a zero-duration (failed)
-/// session contributes no in-service blip.
+/// between start and finish. Built from the record's exact microsecond
+/// instants — never from the f64 display seconds, whose round-trip rounds
+/// large instants and can merge or reorder boundary ties (see
+/// `gauge_ties_survive_f64_collisions`). A rejected session never enters
+/// either series; a zero-duration (failed) session contributes no
+/// in-service blip.
+pub(crate) fn push_gauge_events(events: &mut Vec<GaugeEvent>, r: &SessionRecord) {
+    if r.status == SessionStatus::Rejected {
+        return;
+    }
+    events.push((r.arrival_us, 1, 1, 0));
+    if r.finish_us > r.start_us {
+        events.push((r.finish_us, 0, 0, -1));
+        events.push((r.start_us, 2, -1, 1));
+    } else {
+        // Zero service time: leave the queue without a running blip.
+        events.push((r.start_us, 2, -1, 0));
+    }
+}
+
+/// Replays the admission timeline of `records` as gauge samples (see
+/// [`push_gauge_events`]).
 pub(crate) fn record_depth_gauges(metrics: &mut Metrics, records: &[SessionRecord]) {
-    // (micros, kind, delta_queued, delta_running); kind orders ties.
-    let mut events: Vec<(u64, u8, i64, i64)> = Vec::with_capacity(records.len() * 3);
+    let mut events: Vec<GaugeEvent> = Vec::with_capacity(records.len() * 3);
     for r in records {
-        if r.status == SessionStatus::Rejected {
-            continue;
-        }
-        events.push((r.arrival_us, 1, 1, 0));
-        if r.finish_us > r.start_us {
-            events.push((r.finish_us, 0, 0, -1));
-            events.push((r.start_us, 2, -1, 1));
-        } else {
-            // Zero service time: leave the queue without a running blip.
-            events.push((r.start_us, 2, -1, 0));
-        }
+        push_gauge_events(&mut events, r);
     }
     events.sort_unstable();
     let (mut queued, mut running) = (0i64, 0i64);
@@ -357,6 +360,7 @@ pub(crate) fn record_depth_gauges(metrics: &mut Metrics, records: &[SessionRecor
 mod tests {
     use super::*;
     use crate::arrival::{OpenLoopProcess, WorkloadGenerator};
+    use crate::service::{ServiceConfig, ServiceEngine};
     use entk_sim::SimDuration;
 
     fn small_stream() -> Vec<crate::SessionArrival> {
@@ -370,8 +374,14 @@ mod tests {
             ..WorkloadConfig::default()
         };
         let arrivals = small_stream();
-        let a = serve(&config, &arrivals).unwrap();
-        let b = serve(&config, &arrivals).unwrap();
+        let a = ServiceEngine::new(ServiceConfig::fifo(config.clone()), &arrivals)
+            .unwrap()
+            .run()
+            .unwrap();
+        let b = ServiceEngine::new(ServiceConfig::fifo(config), &arrivals)
+            .unwrap()
+            .run()
+            .unwrap();
         assert_eq!(a.jsonl, b.jsonl);
         assert_eq!(a.report, b.report);
         assert_eq!(a.report.sessions, 12);
@@ -387,7 +397,10 @@ mod tests {
             ..WorkloadConfig::default()
         };
         let arrivals = small_stream();
-        let out = serve(&config, &arrivals).unwrap();
+        let out = ServiceEngine::new(ServiceConfig::fifo(config), &arrivals)
+            .unwrap()
+            .run()
+            .unwrap();
         let r = &out.report;
         assert!(r.latency.p50 > 0.0);
         assert!(r.latency.p99 >= r.latency.p95 && r.latency.p95 >= r.latency.p50);
@@ -412,13 +425,15 @@ mod tests {
     fn more_slots_never_increase_latency() {
         let arrivals = small_stream();
         let serve_slots = |slots| {
-            serve(
-                &WorkloadConfig {
+            ServiceEngine::new(
+                ServiceConfig::fifo(WorkloadConfig {
                     slots,
                     ..WorkloadConfig::default()
-                },
+                }),
                 &arrivals,
             )
+            .unwrap()
+            .run()
             .unwrap()
             .report
         };
@@ -440,8 +455,14 @@ mod tests {
             ..WorkloadConfig::default()
         };
         let arrivals = OpenLoopProcess::poisson(4, 6, 3, 60.0).generate().unwrap();
-        let a = serve(&config, &arrivals).unwrap();
-        let b = serve(&config, &arrivals).unwrap();
+        let a = ServiceEngine::new(ServiceConfig::fifo(config.clone()), &arrivals)
+            .unwrap()
+            .run()
+            .unwrap();
+        let b = ServiceEngine::new(ServiceConfig::fifo(config), &arrivals)
+            .unwrap()
+            .run()
+            .unwrap();
         assert_eq!(a.jsonl, b.jsonl);
         assert_eq!(a.report.backend, "federated:2");
         assert!(a.report.max_cross_check_err_secs <= 1e-6);
@@ -450,13 +471,12 @@ mod tests {
     #[test]
     fn stream_misuse_is_rejected() {
         let arrivals = small_stream();
-        assert!(serve(
-            &WorkloadConfig::default(),
-            Vec::<crate::SessionArrival>::new()
-        )
-        .is_err());
-        assert!(serve(
-            &WorkloadConfig {
+        let serve_fifo = |config: WorkloadConfig, arrivals: &[crate::SessionArrival]| {
+            ServiceEngine::new(ServiceConfig::fifo(config), arrivals).and_then(|mut e| e.run())
+        };
+        assert!(serve_fifo(WorkloadConfig::default(), &[]).is_err());
+        assert!(serve_fifo(
+            WorkloadConfig {
                 slots: 0,
                 ..WorkloadConfig::default()
             },
@@ -466,15 +486,34 @@ mod tests {
         let mut unordered = arrivals.clone();
         let last = unordered.len() - 1;
         unordered.swap(0, last);
-        assert!(serve(&WorkloadConfig::default(), &unordered).is_err());
-        assert!(serve(
-            &WorkloadConfig {
+        assert!(serve_fifo(WorkloadConfig::default(), &unordered).is_err());
+        assert!(serve_fifo(
+            WorkloadConfig {
                 backend: StreamBackend::Federated { members: 1 },
                 ..WorkloadConfig::default()
             },
             &arrivals
         )
         .is_err());
+    }
+
+    #[test]
+    fn control_characters_in_errors_render_valid_json() {
+        let message = "panicked:\tcolumn\r\u{1}end \"quoted\" \\ line\nnext";
+        let record = SessionRecord {
+            status: SessionStatus::Failed,
+            error: Some(message.to_string()),
+            ..record_at(0, 0, 0, 0)
+        };
+        let mut line = String::new();
+        render_record(&mut line, &record);
+        assert_eq!(line.matches('\n').count(), 1, "one line: {line:?}");
+        assert!(
+            line.chars().filter(|&c| c != '\n').all(|c| c >= ' '),
+            "{line:?}"
+        );
+        let v: serde_json::Value = serde_json::from_str(&line).expect("valid JSON");
+        assert_eq!(v["error"].as_str(), Some(message));
     }
 
     fn record_at(session: usize, arrival_us: u64, start_us: u64, finish_us: u64) -> SessionRecord {

@@ -25,17 +25,23 @@
 //! evaluation *order* is irrelevant to the output: the lazy engine is
 //! byte-identical to the old evaluate-everything-upfront pass, and the
 //! `lookahead` / `eval_workers` knobs provably cannot change a single
-//! byte (property-tested). [`ServiceEngine::run`] buffers records for
-//! the full [`WorkloadReport`]; [`ServiceEngine::run_streaming`] instead
-//! renders each finalized record to a sink, folds it into the running
-//! fingerprint and scalar [`ServeStats`], and drops it — resident state
-//! is O(look-ahead + in-flight + queued), never O(stream length), which
-//! is what lets a million-session trace serve in a flat memory
-//! footprint.
+//! byte (property-tested).
+//!
+//! Every finalized record leaves the engine through one emission path:
+//! a small reorder window restores index order, then each record is
+//! summarized into the running [`ServeStats`] fold, rendered once, folded
+//! into the stream fingerprint, and appended to the emitted JSONL. The
+//! two entry points differ only in what happens next.
+//! [`ServiceEngine::run_streaming`] writes the lines to a sink and drops
+//! the record — resident state is O(look-ahead + in-flight + queued),
+//! never O(stream length), which is what lets a million-session trace
+//! serve in a flat memory footprint. [`ServiceEngine::run`] also retains
+//! each emitted record, for the exact per-tenant percentiles and gauge
+//! series of the full [`WorkloadReport`].
 //!
 //! * [`AdmissionPolicy::Fifo`] — arrival order; byte-identical to the
-//!   original `serve()` recursion (property-tested against a reference
-//!   implementation).
+//!   original FIFO admission recursion (property-tested against a
+//!   reference implementation).
 //! * [`AdmissionPolicy::FairShare`] — the per-tenant usage-accounting
 //!   policy lifted from `entk-cluster`'s `FairShareScheduler`
 //!   ([`entk_cluster::UsageLedger`]) to session granularity: the pending
@@ -105,6 +111,7 @@ use entk_sim::{Metrics, SimDuration, SimTime, Summary, WorkerPool};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::io::Write;
 use std::panic::AssertUnwindSafe;
 use std::sync::{mpsc, Arc};
 
@@ -237,7 +244,7 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// FIFO admission with unbounded queue and lenient failures — the
-    /// semantics of the original `serve()` on clean streams.
+    /// original stream runner's semantics on clean streams.
     pub fn fifo(stream: WorkloadConfig) -> Self {
         ServiceConfig {
             stream,
@@ -517,7 +524,7 @@ impl Drop for EvalPool {
 /// O(1)-memory aggregate summary of a streamed serve — what
 /// [`ServiceEngine::run_streaming`] returns instead of a full
 /// [`WorkloadOutcome`]. `stream_fp` is folded over the emitted JSONL
-/// bytes and matches the buffered engine's `report.stream_fp` exactly;
+/// bytes, exactly as [`ServiceEngine::run`]'s `report.stream_fp` is;
 /// latency is summarized as mean/max (percentiles need the full sample
 /// set, which an out-of-core serve deliberately never holds).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -556,7 +563,8 @@ pub struct ServeStats {
     pub peak_resident_sessions: usize,
 }
 
-/// Streaming accumulator behind [`ServeStats`].
+/// Running fold over every emitted record and line, behind both
+/// [`ServeStats`] and the scalar fields of [`WorkloadReport`].
 #[derive(Debug, Default)]
 struct StatsAcc {
     sessions: usize,
@@ -577,7 +585,9 @@ struct StatsAcc {
 }
 
 impl StatsAcc {
-    fn observe(&mut self, r: &SessionRecord) {
+    fn observe(&mut self, r: &SessionRecord, line: &[u8]) {
+        self.fp = fnv64_update(self.fp, line);
+        self.jsonl_bytes += line.len() as u64;
         self.sessions += 1;
         self.tenants.insert(r.tenant);
         self.tasks += r.tasks;
@@ -731,25 +741,6 @@ impl ServiceCheckpoint {
     }
 }
 
-/// Where finalized records go: the buffered store reproduces the full
-/// [`WorkloadOutcome`] (records retained, byte-identical to the original
-/// upfront engine); the sink store is the out-of-core path — records are
-/// rendered, folded into the running stream fingerprint, summarized into
-/// [`StatsAcc`], and dropped.
-enum RecordStore {
-    Buffer(Vec<Option<SessionRecord>>),
-    Sink(BTreeMap<usize, SessionRecord>),
-}
-
-impl RecordStore {
-    fn reorder_len(&self) -> usize {
-        match self {
-            RecordStore::Buffer(_) => 0,
-            RecordStore::Sink(unemitted) => unemitted.len(),
-        }
-    }
-}
-
 /// The long-running multi-tenant session service (see module docs).
 pub struct ServiceEngine {
     config: ServiceConfig,
@@ -773,9 +764,20 @@ pub struct ServiceEngine {
     deferred: VecDeque<usize>,
     in_flight: BinaryHeap<Reverse<(SimTime, usize)>>,
     ledger: entk_cluster::UsageLedger<u64>,
-    store: RecordStore,
+    /// Finalized records waiting for a lower-index one: the reorder
+    /// window between out-of-order finalization and in-order emission.
+    unemitted: BTreeMap<usize, SessionRecord>,
+    /// Records emitted so far (the next index to emit).
     emitted: usize,
-    suffix: String,
+    /// Every emitted record, kept for [`ServiceEngine::run`]'s report;
+    /// `None` in a streamed serve, which drops records once emitted.
+    retained: Option<Vec<SessionRecord>>,
+    /// Emitted JSONL not yet handed out (a streamed serve writes and
+    /// clears it after every event).
+    jsonl: String,
+    /// Bytes of `jsonl` re-emitted by restore from the checkpoint; this
+    /// engine instance's own output starts after them.
+    restored_bytes: usize,
     max_cc: f64,
     admissions: Vec<AdmissionSample>,
     acc: StatsAcc,
@@ -854,9 +856,11 @@ impl ServiceEngine {
             pending: VecDeque::new(),
             deferred: VecDeque::new(),
             in_flight: BinaryHeap::new(),
-            store: RecordStore::Buffer(Vec::new()),
+            unemitted: BTreeMap::new(),
             emitted: 0,
-            suffix: String::new(),
+            retained: Some(Vec::new()),
+            jsonl: String::new(),
+            restored_bytes: 0,
             max_cc: 0.0,
             admissions: Vec::new(),
             acc: StatsAcc {
@@ -896,31 +900,36 @@ impl ServiceEngine {
     /// event-loop decision tops up first.
     fn fill_readahead(&mut self) -> Result<(), EntkError> {
         while self.readahead.len() < self.lookahead() {
-            let Some(stream) = self.stream.as_mut() else {
+            let Some((i, row)) = self.pull_row()? else {
                 break;
             };
-            match stream.next_arrival()? {
-                Some(row) => {
-                    let i = self.pulled;
-                    row.validate()?;
-                    if self.last_pulled_at.is_some_and(|prev| row.arrival < prev) {
-                        return Err(EntkError::Usage(format!(
-                            "arrivals out of order at index {i}"
-                        )));
-                    }
-                    self.last_pulled_at = Some(row.arrival);
-                    self.pulled += 1;
-                    self.eval.dispatch(i, row.clone());
-                    self.held.insert(i, row);
-                    self.readahead.push_back(i);
-                }
-                None => {
-                    self.stream = None;
-                    break;
-                }
-            }
+            self.eval.dispatch(i, row.clone());
+            self.held.insert(i, row);
+            self.readahead.push_back(i);
         }
         Ok(())
+    }
+
+    /// Pulls the next row from the stream with its index, schema- and
+    /// order-checked; `None` once the stream is exhausted.
+    fn pull_row(&mut self) -> Result<Option<(usize, SessionArrival)>, EntkError> {
+        let Some(stream) = self.stream.as_mut() else {
+            return Ok(None);
+        };
+        let Some(row) = stream.next_arrival()? else {
+            self.stream = None;
+            return Ok(None);
+        };
+        let i = self.pulled;
+        row.validate()?;
+        if self.last_pulled_at.is_some_and(|prev| row.arrival < prev) {
+            return Err(EntkError::Usage(format!(
+                "arrivals out of order at index {i}"
+            )));
+        }
+        self.last_pulled_at = Some(row.arrival);
+        self.pulled += 1;
+        Ok(Some((i, row)))
     }
 
     /// Arrival instant of the next not-yet-ingested session, if any.
@@ -932,7 +941,7 @@ impl ServiceEngine {
     /// Sessions resident right now, in any form — the quantity whose peak
     /// the bounded-memory claim is about.
     fn resident_sessions(&self) -> usize {
-        self.held.len() + self.in_flight.len() + self.store.reorder_len()
+        self.held.len() + self.in_flight.len() + self.unemitted.len()
     }
 
     /// The fair-share admission decisions taken so far (empty under FIFO).
@@ -944,7 +953,7 @@ impl ServiceEngine {
     /// fresh engine emits from line 0; a restored engine emits the suffix
     /// after its checkpoint's `emitted` cursor.
     pub fn emitted_jsonl(&self) -> &str {
-        &self.suffix
+        self.jsonl.get(self.restored_bytes..).unwrap_or_default()
     }
 
     /// Arrivals ingested so far.
@@ -956,41 +965,31 @@ impl ServiceEngine {
         self.config.stream.slots - self.in_flight.len()
     }
 
-    /// Finalizes a session's record and advances the contiguous-prefix
-    /// emission cursor. Buffered: the record is retained for the final
-    /// report. Sink: the record waits (at most) in a small reorder buffer
-    /// until every lower-index session is finalized, then is rendered,
-    /// summarized, and dropped.
+    /// Finalizes a session's record: it waits (at most) in the reorder
+    /// window until every lower-index session is finalized, then leaves
+    /// through [`ServiceEngine::emit`].
     fn finalize(&mut self, index: usize, record: SessionRecord) {
-        match &mut self.store {
-            RecordStore::Buffer(records) => {
-                if records.len() <= index {
-                    records.resize(index + 1, None);
-                }
-                debug_assert!(records[index].is_none(), "record finalized twice");
-                records[index] = Some(record);
-                while self.emitted < records.len() {
-                    match &records[self.emitted] {
-                        Some(r) => {
-                            self.suffix.push_str(&render_record(r));
-                            self.emitted += 1;
-                        }
-                        None => break,
-                    }
-                }
-            }
-            RecordStore::Sink(unemitted) => {
-                debug_assert!(
-                    index >= self.emitted && !unemitted.contains_key(&index),
-                    "record finalized twice"
-                );
-                unemitted.insert(index, record);
-                while let Some(r) = unemitted.remove(&self.emitted) {
-                    self.acc.observe(&r);
-                    self.suffix.push_str(&render_record(&r));
-                    self.emitted += 1;
-                }
-            }
+        debug_assert!(
+            index >= self.emitted && !self.unemitted.contains_key(&index),
+            "record finalized twice"
+        );
+        self.unemitted.insert(index, record);
+        while let Some(r) = self.unemitted.remove(&self.emitted) {
+            self.emit(r);
+        }
+    }
+
+    /// The one emission step, taken by every record in index order: fold
+    /// it into the running stats, render it once, fold the line into the
+    /// stream fingerprint, append it to the emitted JSONL, and — outside a
+    /// streamed serve — retain it for the report.
+    fn emit(&mut self, record: SessionRecord) {
+        let start = self.jsonl.len();
+        render_record(&mut self.jsonl, &record);
+        self.acc.observe(&record, &self.jsonl.as_bytes()[start..]);
+        self.emitted += 1;
+        if let Some(retained) = &mut self.retained {
+            retained.push(record);
         }
     }
 
@@ -1062,7 +1061,7 @@ impl ServiceEngine {
                 .iter()
                 .map(|j| self.ledger.usage_of(&self.held[j].tenant))
                 .min_by(|a, b| a.partial_cmp(b).expect("finite usage"));
-            if matches!(self.store, RecordStore::Buffer(_)) {
+            if self.retained.is_some() {
                 self.admissions.push(AdmissionSample {
                     session: i,
                     tenant: arrival.tenant,
@@ -1173,15 +1172,25 @@ impl ServiceEngine {
         self.settle()
     }
 
-    /// Processes the single earliest event under the documented tie order
-    /// (completions before arrivals at the same instant).
-    fn step(&mut self) -> Result<(), EntkError> {
-        self.fill_readahead()?;
-        match (self.in_flight.peek(), self.peek_arrival()) {
-            (Some(&Reverse((tf, _))), Some(ta)) if tf <= ta => self.apply_completion(),
-            (_, Some(_)) => self.ingest_arrival(),
-            (Some(_), None) => self.apply_completion(),
-            (None, None) => unreachable!("step called with no events left"),
+    /// The one driver loop: processes events in the documented tie order
+    /// (completions before arrivals at the same instant) up to arrival
+    /// boundary `k` (see [`ServiceEngine::run_to_boundary`]). With `out`,
+    /// the lines each event emits are written there and dropped.
+    fn drive(&mut self, k: usize, mut out: Option<&mut dyn Write>) -> Result<(), EntkError> {
+        loop {
+            self.fill_readahead()?;
+            match (self.in_flight.peek(), self.peek_arrival()) {
+                (Some(&Reverse((tf, _))), Some(ta)) if tf <= ta => self.apply_completion()?,
+                (Some(_), None) => self.apply_completion()?,
+                (_, Some(_)) if self.next_arrival < k => self.ingest_arrival()?,
+                _ => return Ok(()),
+            }
+            self.acc.peak_resident = self.acc.peak_resident.max(self.resident_sessions());
+            if let Some(out) = out.as_mut().filter(|_| !self.jsonl.is_empty()) {
+                out.write_all(self.jsonl.as_bytes())
+                    .map_err(|e| EntkError::Resource(format!("writing stream JSONL: {e}")))?;
+                self.jsonl.clear();
+            }
         }
     }
 
@@ -1192,30 +1201,23 @@ impl ServiceEngine {
     /// a malformed or out-of-order row at pull time, a strict-mode abort
     /// at admission — leave the engine unusable.
     pub fn run_to_boundary(&mut self, k: usize) -> Result<(), EntkError> {
-        loop {
-            self.fill_readahead()?;
-            let horizon = self.peek_arrival();
-            if self.next_arrival < k && horizon.is_some() {
-                self.step()?;
-                continue;
-            }
-            match (self.in_flight.peek(), horizon) {
-                (Some(&Reverse((tf, _))), Some(ta)) if tf <= ta => self.apply_completion()?,
-                (Some(_), None) => self.apply_completion()?,
-                _ => return Ok(()),
-            }
-        }
+        self.drive(k, None)
     }
 
     /// Serializes the admission state at the current arrival boundary.
     pub fn checkpoint(&self) -> ServiceCheckpoint {
         let s = &self.config.stream;
-        let records = match &self.store {
-            RecordStore::Buffer(records) => records.iter().flatten().cloned().collect(),
-            // run_streaming consumes the engine, so a sink-mode engine is
-            // never observable from outside.
-            RecordStore::Sink(_) => unreachable!("checkpoint during a streamed serve"),
-        };
+        // Emitted records (indices below `emitted`) then the reorder
+        // window (above it): index order. `retained` is `None` only inside
+        // `run_streaming`, which consumes the engine, so it is never
+        // observable here.
+        let records = self
+            .retained
+            .iter()
+            .flatten()
+            .chain(self.unemitted.values())
+            .cloned()
+            .collect();
         ServiceCheckpoint {
             version: 2,
             seed: s.seed,
@@ -1327,22 +1329,9 @@ impl ServiceEngine {
         // queued (pending or deferred) are retained — the rest are dropped
         // as soon as they are hashed, so restore stays bounded-memory.
         while engine.pulled < ckpt.next_arrival {
-            let row = match engine.stream.as_mut() {
-                Some(stream) => stream.next_arrival()?,
-                None => None,
-            };
-            let Some(row) = row else {
+            let Some((i, row)) = engine.pull_row()? else {
                 return Err(EntkError::Usage("checkpoint cursors out of range".into()));
             };
-            let i = engine.pulled;
-            row.validate()?;
-            if engine.last_pulled_at.is_some_and(|prev| row.arrival < prev) {
-                return Err(EntkError::Usage(format!(
-                    "arrivals out of order at index {i}"
-                )));
-            }
-            engine.last_pulled_at = Some(row.arrival);
-            engine.pulled += 1;
             engine.prefix_fp = fnv64_update(engine.prefix_fp, render_row(&row).as_bytes());
             if keep.contains(&i) {
                 engine.held.insert(i, row);
@@ -1413,7 +1402,19 @@ impl ServiceEngine {
             ckpt.usage.iter().copied(),
             ckpt.usage_decayed_at_us,
         );
-        engine.store = RecordStore::Buffer(records);
+        // Re-emit the checkpoint's emitted prefix through the one emission
+        // path, so the stats fold, fingerprint, retained records and JSONL
+        // cover the whole stream; the rest wait in the reorder window.
+        for (i, record) in records.into_iter().enumerate() {
+            match record {
+                Some(r) if i < ckpt.emitted => engine.emit(r),
+                Some(r) => {
+                    engine.unemitted.insert(i, r);
+                }
+                None => {}
+            }
+        }
+        engine.restored_bytes = engine.jsonl.len();
         engine.clock = SimTime::from_micros(ckpt.clock_us);
         engine.next_arrival = ckpt.next_arrival;
         engine.pending = ckpt.pending.iter().copied().collect();
@@ -1423,7 +1424,6 @@ impl ServiceEngine {
             .iter()
             .map(|slot| Reverse((SimTime::from_micros(slot.finish_us), slot.session)))
             .collect();
-        engine.emitted = ckpt.emitted;
         engine.max_cc = ckpt.max_cross_check_err_secs;
         Ok(engine)
     }
@@ -1436,17 +1436,17 @@ impl ServiceEngine {
         if self.finished {
             return Err(EntkError::Usage("service already ran to completion".into()));
         }
-        self.run_to_boundary(usize::MAX)?;
+        self.drive(usize::MAX, None)?;
         self.finished = true;
         Ok(self.assemble())
     }
 
-    /// Serves the stream to completion in *sink* mode: every finalized
-    /// record is rendered to `out`, folded into the running fingerprint,
-    /// accumulated into the scalar [`ServeStats`], and dropped. Resident
-    /// state is bounded by the look-ahead window plus in-flight and queued
-    /// sessions — never by the stream length — which is what lets a
-    /// million-session trace serve in a flat memory footprint.
+    /// Serves the stream to completion in *sink* mode: every emitted
+    /// line is written to `out` and its record dropped, leaving only the
+    /// scalar [`ServeStats`]. Resident state is bounded by the look-ahead
+    /// window plus in-flight and queued sessions — never by the stream
+    /// length — which is what lets a million-session trace serve in a
+    /// flat memory footprint.
     ///
     /// Sink mode consumes the engine (no checkpoint can observe the
     /// dropped records) and requires a fresh engine, not a restored one.
@@ -1459,40 +1459,22 @@ impl ServiceEngine {
                 "streaming serve requires a fresh engine".into(),
             ));
         }
-        self.store = RecordStore::Sink(BTreeMap::new());
-        loop {
-            self.fill_readahead()?;
-            if self.in_flight.is_empty() && self.peek_arrival().is_none() {
-                break;
-            }
-            self.step()?;
-            if !self.suffix.is_empty() {
-                out.write_all(self.suffix.as_bytes())
-                    .map_err(|e| EntkError::Resource(format!("writing stream JSONL: {e}")))?;
-                self.acc.fp = fnv64_update(self.acc.fp, self.suffix.as_bytes());
-                self.acc.jsonl_bytes += self.suffix.len() as u64;
-                self.suffix.clear();
-            }
-            let resident = self.resident_sessions();
-            self.acc.peak_resident = self.acc.peak_resident.max(resident);
-        }
+        self.retained = None;
+        self.drive(usize::MAX, Some(out))?;
         debug_assert!(self.pending.is_empty() && self.deferred.is_empty());
         self.finished = true;
         Ok(self.acc.finish(self.max_cc))
     }
 
+    /// Builds the full report: the scalar fields come from the emission
+    /// fold; only the exact latency percentiles and the gauge series need
+    /// the retained records.
     fn assemble(&mut self) -> WorkloadOutcome {
-        let RecordStore::Buffer(buffer) = &self.store else {
-            unreachable!("assemble after a streamed serve");
-        };
-        let records: Vec<SessionRecord> = buffer
-            .iter()
-            .map(|r| r.clone().expect("completed service finalized every record"))
-            .collect();
-        let mut jsonl = String::new();
-        for r in &records {
-            jsonl.push_str(&render_record(r));
-        }
+        let records = self.retained.take().expect("run retains its records");
+        debug_assert!(
+            self.unemitted.is_empty(),
+            "completed service emitted every record"
+        );
 
         let mut metrics = Metrics::new();
         record_depth_gauges(&mut metrics, &records);
@@ -1519,24 +1501,7 @@ impl ServiceEngine {
         // span, so neither contributes a latency sample.
         let mut all = Summary::new();
         let mut by_tenant: BTreeMap<u64, Summary> = BTreeMap::new();
-        let mut tenants: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
-        let mut counts = [0usize; 4];
-        let mut total_tasks = 0usize;
-        let mut total_events = 0u64;
-        let mut makespan = SimTime::ZERO;
         for r in &records {
-            tenants.insert(r.tenant);
-            total_tasks += r.tasks;
-            total_events += r.events;
-            match r.status {
-                SessionStatus::Ok => counts[0] += 1,
-                SessionStatus::Partial => counts[1] += 1,
-                SessionStatus::Failed => counts[2] += 1,
-                SessionStatus::Rejected => counts[3] += 1,
-            }
-            if r.status != SessionStatus::Rejected {
-                makespan = makespan.max(SimTime::from_micros(r.finish_us));
-            }
             if matches!(r.status, SessionStatus::Ok | SessionStatus::Partial) {
                 all.add(r.latency_secs);
                 by_tenant.entry(r.tenant).or_default().add(r.latency_secs);
@@ -1564,38 +1529,37 @@ impl ServiceEngine {
         let per_tenant: Vec<TenantLatency> =
             by_tenant.iter().map(|(t, s)| latency_of(*t, s)).collect();
 
+        let stats = std::mem::take(&mut self.acc).finish(self.max_cc);
         let report = WorkloadReport {
             backend: self.config.stream.backend.label(),
             resource: self.config.stream.resource.clone(),
             seed: self.config.stream.seed,
             slots: self.config.stream.slots,
             policy: self.config.policy.label().to_string(),
-            sessions: records.len(),
-            tenants: tenants.len(),
-            ok_sessions: counts[0],
-            partial_sessions: counts[1],
-            failed_sessions: counts[2],
-            rejected_sessions: counts[3],
-            total_tasks,
-            total_events,
-            makespan_secs: makespan.as_secs_f64(),
+            sessions: stats.sessions,
+            tenants: stats.tenants,
+            ok_sessions: stats.ok_sessions,
+            partial_sessions: stats.partial_sessions,
+            failed_sessions: stats.failed_sessions,
+            rejected_sessions: stats.rejected_sessions,
+            total_tasks: stats.total_tasks,
+            total_events: stats.total_events,
+            makespan_secs: stats.makespan_secs,
             latency: latency_of(u64::MAX, &all),
             per_tenant,
             queue_depth,
             queue_depth_peak,
             queue_depth_mean,
             in_service,
-            max_cross_check_err_secs: self.max_cc,
-            stream_fp: format!("{:016x}", fnv64(jsonl.as_bytes())),
+            max_cross_check_err_secs: stats.max_cross_check_err_secs,
+            stream_fp: stats.stream_fp,
             records,
         };
-        // For a fresh engine the incrementally emitted lines are the whole
-        // stream; for a restored engine they are exactly the suffix after
-        // the checkpoint's emitted cursor.
+        let jsonl = std::mem::take(&mut self.jsonl);
         WorkloadOutcome {
             report,
+            suffix_jsonl: jsonl[self.restored_bytes..].to_string(),
             jsonl,
-            suffix_jsonl: std::mem::take(&mut self.suffix),
         }
     }
 }

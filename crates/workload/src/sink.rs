@@ -19,7 +19,9 @@
 //! the same spec produce byte-identical sink files (asserted by the
 //! `registry-smoke` CI job).
 
-use crate::runner::{render_record, SessionRecord, SessionStatus, WorkloadOutcome, WorkloadReport};
+use crate::runner::{
+    push_gauge_events, GaugeEvent, SessionRecord, WorkloadOutcome, WorkloadReport,
+};
 use entk_core::{params_required, EntkError, Registry};
 use serde::{Deserialize, Serialize};
 use std::fs::File;
@@ -87,15 +89,15 @@ impl ReportSink for JsonlSink {
 // ----------------------------------------------------------------- gauges
 
 /// Samples the queue-depth / in-service gauges every `period_secs` of
-/// virtual time. Buffers only three event triples per session (exact
-/// microsecond instants, same tie discipline as the report's gauge
-/// series: finish → arrive → start), then renders the samples at finish.
+/// virtual time. Buffers at most three timeline steps per session, built
+/// by the same function as the report's gauge series (exact microsecond
+/// instants, ties finish → arrive → start), then renders the samples at
+/// finish.
 pub struct GaugesSink {
     path: String,
     out: BufWriter<File>,
     period_secs: f64,
-    // (micros, kind, delta_queued, delta_running); kind orders ties.
-    events: Vec<(u64, u8, i64, i64)>,
+    events: Vec<GaugeEvent>,
 }
 
 impl GaugesSink {
@@ -123,17 +125,7 @@ impl ReportSink for GaugesSink {
     }
 
     fn on_record(&mut self, _line: &str, r: &SessionRecord) -> Result<(), EntkError> {
-        if r.status == SessionStatus::Rejected {
-            return Ok(());
-        }
-        self.events.push((r.arrival_us, 1, 1, 0));
-        if r.finish_us > r.start_us {
-            self.events.push((r.finish_us, 0, 0, -1));
-            self.events.push((r.start_us, 2, -1, 1));
-        } else {
-            // Zero service time: leave the queue without a running blip.
-            self.events.push((r.start_us, 2, -1, 0));
-        }
+        push_gauge_events(&mut self.events, r);
         Ok(())
     }
 
@@ -251,18 +243,18 @@ pub fn sinks() -> &'static Registry<Box<dyn ReportSink>> {
     })
 }
 
-/// Drives a buffered [`WorkloadOutcome`] through a set of sinks: every
-/// record (re-rendered to its exact stream line) in emission order, then
-/// the report. The rendered lines are byte-identical to `outcome.jsonl`
-/// by construction, so sink output replays exactly.
+/// Drives a served [`WorkloadOutcome`] through a set of sinks: every
+/// record with its stream line from `outcome.jsonl`, in emission order,
+/// then the report. Each line is the record's exact emitted bytes, so
+/// sink output replays exactly.
 pub fn dispatch(
     outcome: &WorkloadOutcome,
     sinks: &mut [Box<dyn ReportSink>],
 ) -> Result<(), EntkError> {
-    for record in &outcome.report.records {
-        let line = render_record(record);
+    let lines = outcome.jsonl.split_inclusive('\n');
+    for (line, record) in lines.zip(&outcome.report.records) {
         for sink in sinks.iter_mut() {
-            sink.on_record(&line, record)?;
+            sink.on_record(line, record)?;
         }
     }
     for sink in sinks.iter_mut() {
@@ -275,9 +267,8 @@ pub fn dispatch(
 mod tests {
     use super::*;
     use crate::arrival::WorkloadGenerator;
-    use crate::runner::serve;
     use crate::trace::SyntheticTrace;
-    use crate::WorkloadConfig;
+    use crate::{ServiceConfig, ServiceEngine, WorkloadConfig};
     use entk_core::ComponentSpec;
 
     fn tmp(name: &str) -> String {
@@ -288,13 +279,15 @@ mod tests {
 
     fn outcome() -> WorkloadOutcome {
         let arrivals = SyntheticTrace::new(7, 6, 2).generate().unwrap();
-        serve(
-            &WorkloadConfig {
+        ServiceEngine::new(
+            ServiceConfig::fifo(WorkloadConfig {
                 slots: 2,
                 ..WorkloadConfig::default()
-            },
+            }),
             &arrivals,
         )
+        .unwrap()
+        .run()
         .unwrap()
     }
 

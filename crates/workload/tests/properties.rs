@@ -6,8 +6,8 @@
 
 use entk_sim::{SimDuration, SimTime};
 use entk_workload::{
-    parse_trace, render_trace, serve, PatternKind, SaturationMode, ServiceCheckpoint,
-    ServiceConfig, ServiceEngine, SessionArrival, WorkloadConfig, SUPPORTED_KERNELS,
+    parse_trace, render_trace, PatternKind, SaturationMode, ServiceCheckpoint, ServiceConfig,
+    ServiceEngine, SessionArrival, WorkloadConfig, SUPPORTED_KERNELS,
 };
 use proptest::prelude::*;
 
@@ -85,7 +85,7 @@ fn cheap_arrivals(draws: &[(u64, u64, usize)]) -> Vec<SessionArrival> {
         .collect()
 }
 
-/// The original `serve()` admission recursion, kept as the FIFO oracle:
+/// The original FIFO admission recursion, kept as the oracle:
 /// arrival `i` starts at `max(arrival_i, k-th earliest slot-free time)`.
 fn fifo_oracle(arrivals: &[SessionArrival], ttcs_us: &[u64], slots: usize) -> Vec<(u64, u64)> {
     let mut free: std::collections::BinaryHeap<std::cmp::Reverse<u64>> =
@@ -112,10 +112,10 @@ proptest! {
         slots in 1usize..4,
     ) {
         let arrivals = cheap_arrivals(&draws);
-        let out = serve(
-            &WorkloadConfig { slots, ..WorkloadConfig::default() },
+        let out = ServiceEngine::new(
+            ServiceConfig::fifo(WorkloadConfig { slots, ..WorkloadConfig::default() }),
             &arrivals,
-        ).unwrap();
+        ).unwrap().run().unwrap();
         let ttcs: Vec<u64> = out.report.records.iter()
             .map(|r| r.finish_us - r.start_us)
             .collect();

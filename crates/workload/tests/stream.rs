@@ -3,8 +3,8 @@
 //! per-session failure semantics, backpressure, and checkpoint/restore.
 
 use entk_workload::{
-    parse_trace, serve, SaturationMode, ServiceCheckpoint, ServiceConfig, ServiceEngine,
-    SessionStatus, StreamBackend, StreamSpec, SyntheticTrace, WorkloadConfig, WorkloadGenerator,
+    parse_trace, SaturationMode, ServiceCheckpoint, ServiceConfig, ServiceEngine, SessionStatus,
+    StreamBackend, StreamSpec, SyntheticTrace, WorkloadConfig, WorkloadGenerator,
 };
 
 fn small_config(backend: StreamBackend) -> WorkloadConfig {
@@ -22,8 +22,14 @@ fn small_config(backend: StreamBackend) -> WorkloadConfig {
 fn synthetic_stream_replays_identically_on_simulated_backend() {
     let arrivals = SyntheticTrace::new(11, 10, 4).generate().unwrap();
     let config = small_config(StreamBackend::Simulated);
-    let a = serve(&config, &arrivals).unwrap();
-    let b = serve(&config, &arrivals).unwrap();
+    let a = ServiceEngine::new(ServiceConfig::fifo(config.clone()), &arrivals)
+        .unwrap()
+        .run()
+        .unwrap();
+    let b = ServiceEngine::new(ServiceConfig::fifo(config), &arrivals)
+        .unwrap()
+        .run()
+        .unwrap();
     assert_eq!(a.jsonl, b.jsonl, "stream JSONL must be byte-identical");
     assert_eq!(a.report.stream_fp, b.report.stream_fp);
     assert_eq!(
@@ -37,8 +43,14 @@ fn synthetic_stream_replays_identically_on_simulated_backend() {
 fn synthetic_stream_replays_identically_on_federated_backend() {
     let arrivals = SyntheticTrace::new(11, 6, 3).generate().unwrap();
     let config = small_config(StreamBackend::Federated { members: 2 });
-    let a = serve(&config, &arrivals).unwrap();
-    let b = serve(&config, &arrivals).unwrap();
+    let a = ServiceEngine::new(ServiceConfig::fifo(config.clone()), &arrivals)
+        .unwrap()
+        .run()
+        .unwrap();
+    let b = ServiceEngine::new(ServiceConfig::fifo(config), &arrivals)
+        .unwrap()
+        .run()
+        .unwrap();
     assert_eq!(a.jsonl, b.jsonl);
     assert_eq!(a.report.backend, "federated:2");
     assert_eq!(a.report.stream_fp, b.report.stream_fp);
@@ -47,7 +59,13 @@ fn synthetic_stream_replays_identically_on_federated_backend() {
 #[test]
 fn served_stream_reports_are_fully_populated() {
     let arrivals = SyntheticTrace::new(5, 12, 4).generate().unwrap();
-    let out = serve(&small_config(StreamBackend::Simulated), &arrivals).unwrap();
+    let out = ServiceEngine::new(
+        ServiceConfig::fifo(small_config(StreamBackend::Simulated)),
+        &arrivals,
+    )
+    .unwrap()
+    .run()
+    .unwrap();
     let r = &out.report;
     assert_eq!(r.sessions, 12);
     assert!(r.tenants >= 1 && r.tenants <= 4);
@@ -84,8 +102,14 @@ fn synthetic_trace_csv_serves_the_same_stream_as_the_generator() {
     let via_csv = parse_trace(&synth.to_csv().unwrap()).unwrap();
     assert_eq!(direct, via_csv);
     let config = small_config(StreamBackend::Simulated);
-    let a = serve(&config, &direct).unwrap();
-    let b = serve(&config, &via_csv).unwrap();
+    let a = ServiceEngine::new(ServiceConfig::fifo(config.clone()), &direct)
+        .unwrap()
+        .run()
+        .unwrap();
+    let b = ServiceEngine::new(ServiceConfig::fifo(config), &via_csv)
+        .unwrap()
+        .run()
+        .unwrap();
     assert_eq!(a.jsonl, b.jsonl);
 }
 
@@ -102,7 +126,10 @@ fn spec_driven_run_matches_direct_serve() {
         seed: 11,
         ..small_config(StreamBackend::Simulated)
     };
-    let direct = serve(&config, &arrivals).unwrap();
+    let direct = ServiceEngine::new(ServiceConfig::fifo(config), &arrivals)
+        .unwrap()
+        .run()
+        .unwrap();
     assert_eq!(via_spec.jsonl, direct.jsonl);
     assert_eq!(via_spec.report.stream_fp, direct.report.stream_fp);
 }
@@ -113,7 +140,13 @@ fn failed_sessions_are_recorded_without_killing_the_stream() {
     // stream must carry it as a `failed` record and keep serving.
     let mut arrivals = SyntheticTrace::new(7, 8, 3).generate().unwrap();
     arrivals[3].cores = 1_000_000_000;
-    let out = serve(&small_config(StreamBackend::Simulated), &arrivals).unwrap();
+    let out = ServiceEngine::new(
+        ServiceConfig::fifo(small_config(StreamBackend::Simulated)),
+        &arrivals,
+    )
+    .unwrap()
+    .run()
+    .unwrap();
     let r = &out.report;
     assert_eq!(r.sessions, 8);
     assert_eq!(r.failed_sessions, 1);
@@ -155,7 +188,10 @@ fn degraded_sessions_are_recorded_as_partial() {
         ..small_config(StreamBackend::Simulated)
     };
     let arrivals = SyntheticTrace::new(7, 4, 2).generate().unwrap();
-    let out = serve(&stream, &arrivals).unwrap();
+    let out = ServiceEngine::new(ServiceConfig::fifo(stream.clone()), &arrivals)
+        .unwrap()
+        .run()
+        .unwrap();
     assert_eq!(out.report.partial_sessions, 4);
     assert_eq!(out.report.ok_sessions, 0);
     assert!(out
@@ -246,13 +282,15 @@ fn deferred_arrivals_are_eventually_served() {
     assert_eq!(out.report.ok_sessions, 16);
     // FIFO + defer serves in arrival order, so the outcome matches the
     // unbounded queue exactly.
-    let unbounded = serve(
-        &WorkloadConfig {
+    let unbounded = ServiceEngine::new(
+        ServiceConfig::fifo(WorkloadConfig {
             slots: 1,
             ..small_config(StreamBackend::Simulated)
-        },
+        }),
         &arrivals,
     )
+    .unwrap()
+    .run()
     .unwrap();
     assert_eq!(out.jsonl, unbounded.jsonl);
 }
